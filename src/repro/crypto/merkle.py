@@ -10,7 +10,7 @@ an interior node in as a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.crypto.hashing import digest
 from repro.errors import MerkleProofError
@@ -64,7 +64,8 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """Merkle tree over a fixed sequence of byte-string leaves.
+    """Merkle tree over a fixed number of byte-string leaves, which
+    :meth:`update` can replace in place.
 
     An odd node at any level is promoted unpaired (Certificate-Transparency
     style) rather than duplicated, so the tree of *n* leaves never commits to
@@ -93,6 +94,30 @@ class MerkleTree:
     @property
     def root(self) -> bytes:
         return self._levels[-1][0]
+
+    def update(self, changes: Mapping[int, bytes]) -> None:
+        """Replace the leaves at the given indexes and rehash only their
+        paths to the root, each interior node once: O(k log n) for k
+        changes, never more hashing than building the tree afresh, and the
+        same tree as building it afresh with the new leaves."""
+        for index in changes:
+            if not 0 <= index < len(self._leaves):
+                raise IndexError(f"leaf index {index} out of range")
+        with profiled("crypto.merkle") as pf:
+            for index, leaf in changes.items():
+                self._leaves[index] = leaf = bytes(leaf)
+                self._levels[0][index] = _leaf_hash(leaf)
+                pf.add_bytes(len(leaf))
+            touched = {index // 2 for index in changes}
+            for below, level in zip(self._levels, self._levels[1:]):
+                for pos in touched:
+                    left = 2 * pos
+                    level[pos] = (
+                        _node_hash(below[left], below[left + 1])
+                        if left + 1 < len(below)
+                        else below[left]  # unpaired: promoted unchanged
+                    )
+                touched = {pos // 2 for pos in touched}
 
     def proof(self, index: int) -> MerkleProof:
         """Build the inclusion proof for the leaf at ``index``."""

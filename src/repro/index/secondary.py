@@ -11,15 +11,24 @@ Structure
 * Trust bands are *mutable* (scores move sources between bands), so the
   ``trust_band`` dimension is kept as the current source→score-digest map
   per band rather than an append-only posting.
-* :meth:`PeerIndex.root` Merkle-hashes every posting leaf (plus the band
-  leaves and a height leaf) with :class:`~repro.crypto.merkle.MerkleTree`;
+* :meth:`PeerIndex.root` is the Merkle root (:class:`~repro.crypto.merkle.
+  MerkleTree`) over every posting leaf, the band leaves and a height leaf;
   the root after applying block *n* is **epoch n**'s digest. Epoch digests
   are journaled into the WAL by the durability layer and auditable by the
   explorer.
-* :meth:`PeerIndex.prove` produces a :class:`PostingProof` a light client
-  can verify against a trusted epoch root with :func:`verify_posting_proof`
-  — no chain replay: the client recomputes the posting chain from the
-  proof's entries, rebuilds the leaf, and checks Merkle membership.
+* The epoch tree is kept between blocks. Every mutation marks the leaves it
+  touched dirty, and :meth:`PeerIndex.root` re-encodes only those and
+  rehashes only their paths to the root: O(changed leaves x log leaves) per
+  block. The tree is rebuilt only when a block changes the leaf *set* (a new
+  posting, a band appearing or emptying, the first tombstone), and the
+  rebuild reuses the cached bytes of every unchanged leaf. Leaf order, leaf
+  bytes and the tree shape are those of :meth:`PeerIndex.leaves`, so epoch
+  digests are byte-identical to hashing ``leaves()`` from scratch.
+* :meth:`PeerIndex.prove` reads a :class:`PostingProof` off the cached tree
+  in O(log leaves); a light client verifies it against a trusted epoch root
+  with :func:`verify_posting_proof` — no chain replay: the client recomputes
+  the posting chain from the proof's entries, rebuilds the leaf, and checks
+  Merkle membership.
 
 The index only ever observes **valid** transactions' write sets, so it is
 rebuildable from world state alone (:meth:`PeerIndex.from_world`) — that is
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.chaincodes.data import TIME_BUCKET_S, time_bucket
@@ -50,9 +60,9 @@ DIMS = ("source", "camera", "class", "violation", "time")
 TRUSTED_THRESHOLD = 0.75
 MIN_TRUST_THRESHOLD = 0.25
 
-# Wide numeric time ranges iterate bucket ids directly up to this span;
-# beyond it we filter the posting keys instead (sparse-range protection).
-_MAX_BUCKET_SPAN = 4096
+# Leaf keys of the epoch tree that are not (dim, value) postings or bands.
+_HEIGHT_LEAF = ("_meta", "")
+_TOMBSTONE_LEAF = ("_tombstones", "")
 
 
 def _seed_chain(dim: str, value: str) -> str:
@@ -204,6 +214,15 @@ class PeerIndex:
         self.block_filters: dict[int, BlockFilter] = {}
         self.tombstones: set[str] = set()
         self._indexed: set[str] = set()
+        # Sorted integer ids of the time buckets that have a posting.
+        self._time_ids: list[int] = []
+        # The epoch tree as of the last root(): None means the leaf set has
+        # changed and the next root() rebuilds it. Leaves are keyed by
+        # (dim, value); ``_dirty`` holds the keys whose bytes are stale.
+        self._tree: MerkleTree | None = None
+        self._leaf_pos: dict[tuple[str, str], int] = {}
+        self._leaf_cache: dict[tuple[str, str], bytes] = {}
+        self._dirty: set[tuple[str, str]] = set()
 
     # -- band mapping --------------------------------------------------------
 
@@ -227,6 +246,7 @@ class PeerIndex:
             for write in tx.rwset.writes:
                 tokens.extend(self._apply_write(write))
         self.height = block.number + 1
+        self._dirty.add(_HEIGHT_LEAF)
         filt = BlockFilter()
         for token in tokens:
             filt.add(token)
@@ -241,7 +261,10 @@ class PeerIndex:
             if write.is_delete or write.value is None:
                 entry_id = key[len(_DATA_PREFIX):]
                 if entry_id in self._indexed:
+                    if not self.tombstones:
+                        self._tree = None
                     self.tombstones.add(entry_id)
+                    self._dirty.add(_TOMBSTONE_LEAF)
                 return []
             try:
                 record = json.loads(write.value)
@@ -262,14 +285,21 @@ class PeerIndex:
             return []  # data records are immutable; re-commit is a no-op
         digest = record_digest(raw)
         tokens = []
-        for dim, value in self._record_dims(record):
-            posting = self.postings.get((dim, value))
+        for key in self._record_dims(record):
+            posting = self.postings.get(key)
             if posting is None:
-                posting = self.postings[(dim, value)] = Posting(dim, value)
+                posting = self.postings[key] = self._new_posting(*key)
             posting.append(entry_id, digest)
-            tokens.append(f"{dim}={value}")
+            self._dirty.add(key)
+            tokens.append("=".join(key))
         self._indexed.add(entry_id)
         return tokens
+
+    def _new_posting(self, dim: str, value: str, chain: str = "") -> Posting:
+        self._tree = None
+        if dim == "time":
+            insort(self._time_ids, int(value))
+        return Posting(dim, value, chain=chain)
 
     @staticmethod
     def _record_dims(record: dict) -> list[tuple[str, str]]:
@@ -311,30 +341,67 @@ class PeerIndex:
         old = self.band_of.get(source_id)
         if old is not None and old != band:
             self.bands[old].pop(source_id, None)
+            self._dirty.add(("trust_band", old))
             if not self.bands[old]:
                 del self.bands[old]
+                self._tree = None
+        if band not in self.bands:
+            self.bands[band] = {}
+            self._tree = None
         self.band_of[source_id] = band
-        self.bands.setdefault(band, {})[source_id] = record_digest(raw)
+        self.bands[band][source_id] = record_digest(raw)
+        self._dirty.add(("trust_band", band))
         return [f"trust_band={band}"]
 
     # -- the authenticated epoch root ------------------------------------------
 
-    def leaves(self) -> list[bytes]:
+    def _leaf_keys(self) -> list[tuple[str, str]]:
         """Deterministic leaf order: height leaf, entry postings sorted by
         (dim, value), band leaves, then the tombstone leaf when present."""
-        out = [canonical_json({"dim": "_meta", "height": self.height})]
-        for key in sorted(self.postings):
-            out.append(self.postings[key].leaf_bytes())
-        for band in sorted(self.bands):
-            out.append(_band_leaf_bytes(band, self.bands[band]))
+        keys = [_HEIGHT_LEAF, *sorted(self.postings)]
+        keys.extend(("trust_band", band) for band in sorted(self.bands))
         if self.tombstones:
-            out.append(
-                canonical_json({"dim": "_tombstones", "ids": sorted(self.tombstones)})
-            )
-        return out
+            keys.append(_TOMBSTONE_LEAF)
+        return keys
+
+    def _encode_leaf(self, key: tuple[str, str]) -> bytes:
+        if key == _HEIGHT_LEAF:
+            return canonical_json({"dim": "_meta", "height": self.height})
+        if key == _TOMBSTONE_LEAF:
+            return canonical_json({"dim": "_tombstones", "ids": sorted(self.tombstones)})
+        if key[0] == "trust_band":
+            return _band_leaf_bytes(key[1], self.bands[key[1]])
+        return self.postings[key].leaf_bytes()
+
+    def leaves(self) -> list[bytes]:
+        """Every leaf of the current epoch, encoded from scratch (the
+        reference the cached tree behind :meth:`root` must agree with)."""
+        return [self._encode_leaf(key) for key in self._leaf_keys()]
+
+    def _synced_tree(self) -> MerkleTree:
+        """The epoch tree brought up to date: rebuilt when the leaf set has
+        changed, otherwise only the dirty leaves' paths rehashed."""
+        cache = self._leaf_cache
+        if self._tree is None:
+            keys = self._leaf_keys()
+            leaves = [
+                cache[key] if key in cache and key not in self._dirty
+                else self._encode_leaf(key)
+                for key in keys
+            ]
+            self._leaf_pos = {key: i for i, key in enumerate(keys)}
+            self._leaf_cache = dict(zip(keys, leaves))
+            self._tree = MerkleTree(leaves)
+        elif self._dirty:
+            changes = {}
+            for key in self._dirty:
+                changes[self._leaf_pos[key]] = cache[key] = self._encode_leaf(key)
+            self._tree.update(changes)
+        self._dirty.clear()
+        return self._tree
 
     def root(self) -> str:
-        return MerkleTree(self.leaves()).root.hex()
+        return self._synced_tree().root.hex()
 
     def prove(self, dim: str, value: str) -> PostingProof:
         """Membership proof for one posting (or trust band) at the current
@@ -344,21 +411,18 @@ class PeerIndex:
             sources = self.bands.get(value)
             if sources is None:
                 raise MerkleProofError(f"no trust band {value!r} in the index")
-            target = _band_leaf_bytes(value, sources)
             entries = tuple(sorted(sources.items()))
         else:
             posting = self.postings.get((dim, value))
             if posting is None:
                 raise MerkleProofError(f"no posting for {dim}={value!r}")
-            target = posting.leaf_bytes()
             entries = tuple(posting.entries)
-        leaves = self.leaves()
-        tree = MerkleTree(leaves)
+        tree = self._synced_tree()
         return PostingProof(
             dim=dim,
             value=value,
             entries=entries,
-            merkle=tree.proof(leaves.index(target)),
+            merkle=tree.proof(self._leaf_pos[(dim, value)]),
             root=tree.root.hex(),
             height=self.height,
         )
@@ -390,34 +454,20 @@ class PeerIndex:
 
     def lookup_time_range(self, lower: float, upper: float) -> list[str]:
         """Entry ids whose time bucket intersects ``[lower, upper)``."""
-        if upper < lower:
-            return []
-        lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
-        if hi_b - lo_b + 1 <= _MAX_BUCKET_SPAN:
-            buckets = [f"{b:012d}" for b in range(lo_b, hi_b + 1)]
-        else:  # sparse wide range: filter the values actually present
-            buckets = sorted(
-                v
-                for (dim, v) in self.postings
-                if dim == "time" and lo_b <= int(v) <= hi_b
-            )
         ids: set[str] = set()
-        for bucket in buckets:
-            posting = self.postings.get(("time", bucket))
-            if posting is not None:
-                ids.update(eid for eid, _ in posting.entries)
+        for bucket in self.time_buckets(lower, upper):
+            ids.update(eid for eid, _ in self.postings[("time", bucket)].entries)
         return sorted(ids - self.tombstones)
 
     def time_buckets(self, lower: float, upper: float) -> list[str]:
-        """Bucket values present in the index that intersect the range."""
+        """Bucket values present in the index that intersect the range, in
+        string order (which is not numeric order for negative buckets)."""
         if upper < lower:
             return []
         lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
-        return sorted(
-            v
-            for (dim, v) in self.postings
-            if dim == "time" and lo_b <= int(v) <= hi_b
-        )
+        ids = self._time_ids
+        present = ids[bisect_left(ids, lo_b):bisect_right(ids, hi_b)]
+        return sorted(f"{b:012d}" for b in present)
 
     def blocks_possibly_containing(self, dim: str, value: str) -> list[int]:
         """Block numbers whose posting filter admits ``dim=value``."""
@@ -455,7 +505,7 @@ class PeerIndex:
         out = cls(float(trusted), float(minimum))
         out.height = int(doc["height"])
         for dim, value, chain, entries in doc.get("postings", ()):
-            posting = Posting(dim=dim, value=value, chain=chain)
+            posting = out._new_posting(dim, value, chain)
             posting.entries = [(e, d) for e, d in entries]
             out.postings[(dim, value)] = posting
         out._indexed = {

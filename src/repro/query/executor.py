@@ -99,10 +99,14 @@ class VerifiedAnswer:
     height: int
 
     def verify(self, trusted_root: str | None = None) -> int:
+        """Verify against ``trusted_root``; only an omitted root (None)
+        falls back to the root the answer itself carries."""
         from repro.index import verify_answer_records
 
         return verify_answer_records(
-            list(self.records), self.proofs, trusted_root or self.root
+            list(self.records),
+            self.proofs,
+            self.root if trusted_root is None else trusted_root,
         )
 
 

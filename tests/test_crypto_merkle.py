@@ -57,6 +57,59 @@ class TestMerkleTree:
         assert MerkleTree([b"a", b"b", b"c"]).root != MerkleTree([b"a", b"b", b"c", b"c"]).root
 
 
+class TestMerkleUpdate:
+    @staticmethod
+    def assert_same_tree(tree, leaves):
+        fresh = MerkleTree(leaves)
+        assert tree.root == fresh.root
+        for i in range(len(leaves)):
+            assert tree.proof(i) == fresh.proof(i)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_update_matches_fresh_tree(self, n):
+        """Every leaf rewritten in turn, across odd-node promotion shapes."""
+        leaves = [f"leaf-{i}".encode() for i in range(n)]
+        tree = MerkleTree(leaves)
+        for i in reversed(range(n)):
+            leaves[i] = f"new-{i}".encode()
+            tree.update({i: leaves[i]})
+            self.assert_same_tree(tree, leaves)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_batched_update_matches_fresh_tree(self, n):
+        leaves = [f"leaf-{i}".encode() for i in range(n)]
+        tree = MerkleTree(leaves)
+        changes = {i: f"new-{i}".encode() for i in range(0, n, 3)}
+        changes[n - 1] = b"last"
+        tree.update(changes)
+        for i, leaf in changes.items():
+            leaves[i] = leaf
+        self.assert_same_tree(tree, leaves)
+
+    def test_update_index_out_of_range(self):
+        tree = MerkleTree([b"a", b"b", b"c"])
+        for index in (3, -1):
+            with pytest.raises(IndexError):
+                tree.update({index: b"d"})
+        assert tree.root == MerkleTree([b"a", b"b", b"c"]).root
+
+
+@given(
+    st.lists(st.binary(max_size=8), min_size=1, max_size=17),
+    st.lists(
+        st.dictionaries(st.integers(min_value=0, max_value=16), st.binary(max_size=8)),
+        max_size=6,
+    ),
+)
+def test_property_updates_match_fresh_tree(leaves, batches):
+    tree = MerkleTree(leaves)
+    for batch in batches:
+        changes = {index % len(leaves): leaf for index, leaf in batch.items()}
+        leaves = [changes.get(i, leaf) for i, leaf in enumerate(leaves)]
+        tree.update(changes)
+    TestMerkleUpdate.assert_same_tree(tree, leaves)
+
+
 class TestMerkleRoot:
     def test_empty_defined(self):
         assert isinstance(merkle_root([]), bytes)

@@ -9,11 +9,17 @@ epoch digests.
 """
 
 import dataclasses
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chaincodes.data import TIME_BUCKET_S
 from repro.core import Client, Framework, FrameworkConfig
+from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleProofError, QueryError
 from repro.index import (
     BlockFilter,
@@ -23,6 +29,7 @@ from repro.index import (
 )
 from repro.query import QueryEngine, parse_query, plan_query
 from repro.trust import SourceTier
+from repro.util.clock import WallClock
 from repro.util.serialization import canonical_json
 
 
@@ -269,6 +276,17 @@ class TestExecutorRouting:
             len(receipts)
         )
 
+    def test_verify_never_falls_back_to_the_served_root(self):
+        framework = make_framework()
+        client, _ = populate(framework, n=2)
+        answer = client.engine.run_verified("source_id = 'idx-cam'")
+        peer = next(iter(framework.channel.peers.values()))
+        older_epoch = peer.index.epochs[0]
+        assert older_epoch != answer.root
+        for trusted_root in ("", older_epoch):
+            with pytest.raises(MerkleProofError):
+                answer.verify(trusted_root)
+
     def test_run_verified_rejects_unroutable_query(self):
         framework = make_framework()
         client, _ = populate(framework, n=1)
@@ -393,3 +411,195 @@ class TestSanitizerMode:
 
             runtime._ACTIVE = None
         assert any(f.rule_id == "SAN308" for f in report.findings)
+
+
+# -- synthetic blocks: drive PeerIndex.apply_block without a network ---------
+
+
+def _write(key, value):
+    return SimpleNamespace(key=key, value=value, is_delete=value is None)
+
+
+def _data_write(entry_id, source, timestamp, vehicle_class):
+    record = {
+        "entry_id": entry_id,
+        "source_id": source,
+        "metadata": {
+            "camera_id": f"cam-{source}",
+            "timestamp": timestamp,
+            "detections": [{"vehicle_class": vehicle_class}],
+        },
+    }
+    return _write(f"data:{entry_id}", canonical_json(record))
+
+
+def _trust_write(source, score):
+    return _write(f"trust:{source}", canonical_json({"score": score}))
+
+
+def _block(number, writes):
+    tx = SimpleNamespace(rwset=SimpleNamespace(writes=list(writes)))
+    return SimpleNamespace(number=number, validation_codes=(), transactions=[tx])
+
+
+_TIMESTAMPS = (-7200.0, -601.0, -1.0, 0.0, 100.0, 800.0, 6.0e6)
+
+_STEP = st.one_of(
+    st.tuples(
+        st.just("data"),
+        st.integers(0, 3),
+        st.sampled_from(_TIMESTAMPS),
+        st.sampled_from(("car", "truck", "bus")),
+    ),
+    st.tuples(st.just("trust"), st.integers(0, 3), st.sampled_from((0.1, 0.5, 0.9))),
+    st.tuples(st.just("delete"), st.integers(0, 40)),
+)
+
+
+def _writes_for(steps, ids):
+    """Writes for one block; ``ids`` collects the inserted entry ids."""
+    writes = []
+    for step in steps:
+        if step[0] == "data":
+            _, source, timestamp, vehicle_class = step
+            ids.append(f"e{len(ids)}")
+            writes.append(_data_write(ids[-1], f"s{source}", timestamp, vehicle_class))
+        elif step[0] == "trust":
+            writes.append(_trust_write(f"s{step[1]}", step[2]))
+        else:
+            target = ids[step[1] % len(ids)] if ids else "never-inserted"
+            writes.append(_write(f"data:{target}", None))
+    return writes
+
+
+class TestCachedEpochTree:
+    """The cached, incrementally rehashed epoch tree must equal a tree built
+    from scratch over :meth:`PeerIndex.leaves` after every block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_STEP, min_size=1, max_size=4), min_size=1, max_size=8), st.data())
+    def test_random_blocks_match_fresh_tree(self, blocks, data):
+        index, ids = PeerIndex(), []
+        for number, steps in enumerate(blocks):
+            epoch = index.apply_block(_block(number, _writes_for(steps, ids)))
+            leaves = index.leaves()
+            fresh = MerkleTree(leaves)
+            assert epoch == index.root() == fresh.root.hex()
+
+            keys = sorted(index.postings) + [("trust_band", b) for b in sorted(index.bands)]
+            if not keys:
+                continue
+            dim, value = data.draw(st.sampled_from(keys))
+            proof = index.prove(dim, value)
+            assert proof.merkle == fresh.proof(proof.merkle.leaf_index)
+            leaf = json.loads(leaves[proof.merkle.leaf_index])
+            assert (leaf["dim"], leaf["value"]) == (dim, value)
+            assert verify_posting_proof(proof, fresh.root.hex())
+
+            restored = PeerIndex.from_doc(index.to_doc())
+            assert restored.prove(dim, value) == proof
+            assert restored.root() == epoch
+
+    def test_band_that_empties_leaves_the_tree(self):
+        index = PeerIndex()
+        index.apply_block(_block(0, [_trust_write("s0", 0.9), _trust_write("s1", 0.5)]))
+        assert set(index.bands) == {"trusted", "provisional"}
+        index.apply_block(_block(1, [_trust_write("s1", 0.9)]))
+        assert set(index.bands) == {"trusted"}
+        assert index.root() == MerkleTree(index.leaves()).root.hex()
+        with pytest.raises(MerkleProofError):
+            index.prove("trust_band", "provisional")
+
+    # Epochs of fixed runs, computed by the implementation that hashed
+    # ``leaves()`` afresh on every call: caching must not move a digest.
+    SYNTHETIC_EPOCHS_SHA256 = (
+        "a931668f8e44d0728ba4fe64a2ad3df5f19d0b8599145499d160e73e919f3fc0"
+    )
+    FRAMEWORK_EPOCHS_SHA256 = (
+        "6936a4f78cb1e891d811a87629fe6e27b8310bae08177e4f9e88e0e915d7630d"
+    )
+
+    @staticmethod
+    def epochs_digest(epochs):
+        return hashlib.sha256(canonical_json({str(n): d for n, d in epochs.items()})).hexdigest()
+
+    def test_synthetic_epochs_are_pinned(self):
+        steps = [
+            [("data", 0, 100.0, "car"), ("trust", 0, 0.9)],
+            [("data", 1, -601.0, "truck"), ("data", 0, 800.0, "car")],
+            [("trust", 1, 0.5), ("delete", 0)],
+            [("data", 2, 6.0e6, "bus"), ("trust", 1, 0.9)],
+            [("trust", 0, 0.1), ("data", 1, -601.0, "bus"), ("delete", 3)],
+        ]
+        index, ids = PeerIndex(), []
+        for number, block_steps in enumerate(steps):
+            index.apply_block(_block(number, _writes_for(block_steps, ids)))
+        assert index.tombstones and len(index.bands) == 2
+        assert self.epochs_digest(index.epochs) == self.SYNTHETIC_EPOCHS_SHA256
+
+    def test_framework_epochs_are_pinned(self, monkeypatch):
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(WallClock, "now", lambda self: 1.7e9 + 0.001 * next(ticks))
+        framework = make_framework()
+        cam = Client(framework, framework.register_source("idx-cam", tier=SourceTier.TRUSTED))
+        crowd = Client(framework, framework.register_source("crowd", tier=SourceTier.UNTRUSTED))
+        for i in range(4):
+            meta = dict(META, timestamp=100.0 + 700.0 * i)
+            meta["detections"] = [
+                {"vehicle_class": ("car" if i % 2 == 0 else "truck"), "confidence": 0.9}
+            ]
+            (cam if i % 2 == 0 else crowd).submit(f"payload-{i}".encode(), meta)
+        framework.record_trust_on_chain("idx-cam")
+        framework.record_trust_on_chain("crowd")
+        for peer in framework.channel.peers.values():
+            assert len(peer.index.epochs) == 19
+            assert self.epochs_digest(peer.index.epochs) == self.FRAMEWORK_EPOCHS_SHA256
+
+
+def _scan_time_buckets(index, lower, upper):
+    """The full posting scan ``time_buckets`` replaced, as the reference."""
+    if upper < lower:
+        return []
+    lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
+    return sorted(v for (d, v) in index.postings if d == "time" and lo_b <= int(v) <= hi_b)
+
+
+class TestTimeBuckets:
+    BOUNDS = st.sampled_from(
+        (-1.0e9, -7200.0, -601.0, -600.0, -1.0, 0.0, 599.0, 600.0, 1500.0, 6.0e6, 1.0e9)
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_TIMESTAMPS + (-1.0e8, 3.0e8)), min_size=1, max_size=12),
+        BOUNDS,
+        BOUNDS,
+    )
+    def test_matches_posting_scan(self, timestamps, lower, upper):
+        index, ids = PeerIndex(), []
+        steps = [("data", 0, ts, "car") for ts in timestamps]
+        index.apply_block(_block(0, _writes_for(steps, ids)))
+        expected = _scan_time_buckets(index, lower, upper)
+        assert index.time_buckets(lower, upper) == expected
+        assert index.lookup_time_range(lower, upper) == sorted(
+            {eid for b in expected for eid, _ in index.postings[("time", b)].entries}
+        )
+        restored = PeerIndex.from_doc(index.to_doc())
+        assert restored.time_buckets(lower, upper) == expected
+
+    def test_negative_buckets_keep_string_order(self):
+        index, ids = PeerIndex(), []
+        steps = [("data", 0, ts, "car") for ts in (-7200.0, -601.0, -1.0, 100.0)]
+        index.apply_block(_block(0, _writes_for(steps, ids)))
+        buckets = index.time_buckets(-1.0e4, 1.0e4)
+        assert buckets == ["-00000000001", "-00000000002", "-00000000012", "000000000000"]
+        assert index.lookup_time_range(-1.0e4, 1.0e4) == sorted(ids)
+
+    def test_wide_sparse_range(self):
+        index, ids = PeerIndex(), []
+        steps = [("data", 0, ts, "car") for ts in (-1.0e8, 100.0, 3.0e8)]
+        index.apply_block(_block(0, _writes_for(steps, ids)))
+        assert index.time_buckets(-1.0e9, 1.0e9) == _scan_time_buckets(index, -1.0e9, 1.0e9)
+        assert len(index.time_buckets(-1.0e9, 1.0e9)) == 3
+        assert index.lookup_time_range(-1.0e9, 1.0e9) == sorted(ids)
+        assert index.lookup_time_range(1.0e3, 1.0e8) == []
