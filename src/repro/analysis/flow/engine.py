@@ -2,7 +2,7 @@
 
 ``analyze_paths`` is what the ``repro flowcheck`` CLI and the flow-gate CI
 job call: it builds the whole-program index once (through the shared AST
-cache), runs the taint and concurrency passes over it, converts raw pass
+cache), runs the taint pass over it, converts raw pass
 output into :class:`~repro.analysis.rules.FlowFinding` records, applies the
 same pragma machinery the linter uses (``# reprolint: disable=FLOW501``
 suppresses a finding whose *anchor line* carries the pragma;
@@ -19,7 +19,6 @@ from pathlib import Path
 
 from ..rules import FlowFinding, parse_pragmas
 from .callgraph import Program, build_program
-from .concurrency import analyze_concurrency
 from .taint import analyze_taint
 
 
@@ -76,7 +75,7 @@ def _apply_pragmas(program: Program, findings: list[FlowFinding]) -> list[FlowFi
 
 
 def analyze_program(program: Program) -> FlowReport:
-    """Run both flow passes over an already-built program index."""
+    """Run the taint pass over an already-built program index."""
     findings: list[FlowFinding] = []
 
     taint = analyze_taint(program)
@@ -87,22 +86,14 @@ def analyze_program(program: Program) -> FlowReport:
             trace=t.trace,
         ))
 
-    conc = analyze_concurrency(program)
-    for c in conc:
-        findings.append(FlowFinding.for_rule(
-            c.rule_id, c.path, c.line, c.col, c.message, trace=c.trace,
-        ))
-
     findings = _apply_pragmas(program, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message))
     stats = {
         "modules": len(program.modules),
         "functions": len(program.functions),
         "call_edges": sum(len(v) for v in program.edges.values()),
-        "thread_entries": len(program.thread_entries()),
         "taint_findings": len(taint),
-        "concurrency_findings": len(conc),
-        "suppressed": len(taint) + len(conc) - len(findings),
+        "suppressed": len(taint) - len(findings),
     }
     return FlowReport(findings=findings, program=program, stats=stats)
 

@@ -7,8 +7,10 @@ Two rule families (catalogue in :mod:`repro.analysis.rules`):
   is simulated independently by every endorser, so any ambient input (wall
   clock, RNG, environment, uuid, hash order) or non-canonical encoding
   diverges the rwsets and voids the endorsement-policy comparison.
-* **HYG2xx** fire everywhere — concurrency and error-handling hygiene for
-  the threaded paths added around ``util.parallel``.
+* **HYG2xx** fire everywhere — error-handling and shared-state hygiene,
+  plus HYG205, which keeps the core single-threaded: no linted module may
+  import a thread or process API, so lock-order cycles and data races
+  cannot arise in it.
 
 The analyzer is purely syntactic: imports are resolved through their
 aliases (``import numpy.random as nr`` still trips DET102) but no types are
@@ -61,6 +63,9 @@ _CONTAINER_CONSTRUCTORS = {
     "Counter", "deque",
 }
 
+# Modules whose import HYG205 rejects (matched on the top-level package).
+_THREAD_MODULES = frozenset({"threading", "_thread", "multiprocessing", "concurrent"})
+
 # Float presentation types in a format spec / printf string.
 _FLOAT_SPEC_CHARS = "feEgG%"
 
@@ -100,7 +105,6 @@ class _Visitor(ast.NodeVisitor):
         self.aliases: dict[str, str] = {}
         self.module_containers: set[str] = set()
         self.scopes: list[_Scope] = [_Scope()]
-        self._lock_depth = 0  # nesting depth of `with <lock>:` blocks
 
     # -- helpers ----------------------------------------------------------
 
@@ -135,13 +139,19 @@ class _Visitor(ast.NodeVisitor):
             self.aliases[alias.asname or alias.name.split(".")[0]] = (
                 alias.name if alias.asname else alias.name.split(".")[0]
             )
+            self._check_thread_import(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and node.level == 0:
             for alias in node.names:
                 self.aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            self._check_thread_import(node, node.module)
         self.generic_visit(node)
+
+    def _check_thread_import(self, node: ast.AST, module: str) -> None:
+        if module.split(".")[0] in _THREAD_MODULES:
+            self._emit("HYG205", node, f"import of {module}: the core is single-threaded")
 
     # -- scopes ------------------------------------------------------------
 
@@ -153,17 +163,6 @@ class _Visitor(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-    def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        # Writes lexically inside `with <lock>:` are what HYG204's fix hint
-        # asks for — don't flag them.
-        locks = sum(1 for item in node.items if self._looks_like_lock(item.context_expr))
-        self._lock_depth += locks
-        self.generic_visit(node)
-        self._lock_depth -= locks
-
-    visit_With = _visit_with
-    visit_AsyncWith = _visit_with
 
     def visit_Global(self, node: ast.Global) -> None:
         self.scopes[-1].global_names.update(node.names)
@@ -306,7 +305,6 @@ class _Visitor(ast.NodeVisitor):
             and node.value.id in self.module_containers
             and self._in_function()
             and node.value.id not in self.scopes[-1].global_names
-            and self._lock_depth == 0
         ):
             self._emit(
                 "HYG204", node,

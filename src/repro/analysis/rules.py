@@ -72,8 +72,12 @@ _RULES = (
          "default to None and create the container inside the function",
          "repo"),
     Rule("HYG204", WARNING, "mutation of module-level shared state inside a function",
-         "guard the structure with a lock (analysis.lockcheck.make_lock) or "
-         "pass it explicitly; module globals mutated from threads race",
+         "pass the structure explicitly or keep it on the object that owns "
+         "it; hidden module state couples every caller",
+         "repo"),
+    Rule("HYG205", ERROR, "import of a thread or process API",
+         "the core is single-threaded: run the work inline (a plain loop), "
+         "not on a thread, executor or subprocess pool",
          "repo"),
     # -- runtime sanitizer rules (never produced by the linter) ------------
     Rule("SAN301", ERROR, "endorsement re-simulation diverged",
@@ -107,13 +111,6 @@ _RULES = (
          "the authenticated index route and the chaincode scan route "
          "returned different answers for the same query",
          "runtime"),
-    Rule("SAN401", ERROR, "lock-order cycle",
-         "two locks are acquired in opposite orders on different paths; "
-         "impose a global acquisition order",
-         "runtime"),
-    Rule("SAN402", ERROR, "unguarded cross-thread write to shared structure",
-         "hold the registered guard lock around every mutation",
-         "runtime"),
     # -- flow rules: whole-program interprocedural analysis ----------------
     Rule("FLOW501", ERROR, "wall-clock value flows into a consensus-critical sink",
          "replicas read different clocks; plumb sim_clock / stub.get_timestamp() "
@@ -135,18 +132,6 @@ _RULES = (
     Rule("FLOW506", WARNING, "float-formatted string flows into a consensus-critical sink",
          "float presentation is precision-fragile; ship JSON numbers through "
          "canonical_json instead of formatted strings",
-         "flow"),
-    Rule("FLOW601", ERROR, "static lock-order cycle",
-         "two locks are acquired in opposite orders on some pair of code "
-         "paths; impose one global acquisition order",
-         "flow"),
-    Rule("FLOW602", WARNING, "unguarded write to a thread-shared field",
-         "the field is written on a thread-entry path with no lock held; "
-         "guard it (make_lock/guard_shared) or confine it to one thread",
-         "flow"),
-    Rule("FLOW603", WARNING, "blocking call while holding a lock",
-         "a .result()/queue.get/sleep/network wait under a lock stalls every "
-         "contender; move the wait outside the critical section",
          "flow"),
 )
 

@@ -7,31 +7,29 @@ a mode spec — from the ``REPRO_SANITIZE`` environment variable, the
 
     REPRO_SANITIZE=all                 # every sanitizer
     REPRO_SANITIZE=divergence,ledger   # just those two
-    repro chaos run standard --sanitize locks
+    repro chaos run standard --sanitize ledger
 
-Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``locks``
-(SAN401/SAN402), ``consensus`` (SAN306), ``recovery`` (SAN307), ``index``
-(SAN308/SAN309).
+Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``consensus``
+(SAN306), ``recovery`` (SAN307), ``index`` (SAN308/SAN309).
 
 :func:`install_sanitizers` wires a :class:`Sanitizer` into a channel; the
 peers call back after each endorsement/commit. Findings accumulate instead
 of raising, so one run reports every violation; :meth:`Sanitizer.finalize`
-adds the end-of-run checks (consensus log consistency, lock-graph cycles)
-and publishes the :class:`SanitizerReport` for the CLI/CI gate.
+adds the end-of-run check (consensus log consistency) and publishes the
+:class:`SanitizerReport` for the CLI/CI gate.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 
-from . import divergence, invariants, lockcheck
+from . import divergence, invariants
 from .rules import Finding
 
-MODES = ("divergence", "ledger", "locks", "consensus", "recovery", "index")
+MODES = ("divergence", "ledger", "consensus", "recovery", "index")
 
 
 def parse_modes(spec: str) -> frozenset[str]:
@@ -98,10 +96,6 @@ class Sanitizer:
     def __init__(self, modes: frozenset[str]) -> None:
         self.modes = frozenset(modes)
         self.channel = None
-        self.lock_registry = (
-            lockcheck.LockRegistry() if "locks" in self.modes else None
-        )
-        self._mutex = threading.Lock()
         self._findings: list[Finding] = []
         self._checks = {mode: 0 for mode in sorted(self.modes)}
         self._expected_heights: dict[str, int] = {}
@@ -113,33 +107,30 @@ class Sanitizer:
         if "divergence" not in self.modes:
             return
         found = divergence.check_endorsement(peer, proposal, response)
-        with self._mutex:
-            self._checks["divergence"] += 1
-            self._findings.extend(found)
+        self._checks["divergence"] += 1
+        self._findings.extend(found)
 
     def check_commit(self, peer, block) -> None:
         found: list[Finding] = []
         if "ledger" in self.modes:
             found.extend(invariants.check_block_commit(peer, block))
-            with self._mutex:
-                expected = self._expected_heights.get(peer.name)
-                if expected is not None and block.number != expected:
-                    found.append(
-                        Finding.for_rule(
-                            "SAN304", f"ledger:{peer.name}", block.number, 0,
-                            f"{peer.name} committed block {block.number} "
-                            f"where {expected} was expected next",
-                        )
+            expected = self._expected_heights.get(peer.name)
+            if expected is not None and block.number != expected:
+                found.append(
+                    Finding.for_rule(
+                        "SAN304", f"ledger:{peer.name}", block.number, 0,
+                        f"{peer.name} committed block {block.number} "
+                        f"where {expected} was expected next",
                     )
-                self._expected_heights[peer.name] = block.number + 1
+                )
+            self._expected_heights[peer.name] = block.number + 1
         if "index" in self.modes:
             found.extend(self._check_index(peer, block.number))
-        with self._mutex:
-            if "ledger" in self.modes:
-                self._checks["ledger"] += 1
-            if "index" in self.modes:
-                self._checks["index"] += 1
-            self._findings.extend(found)
+        if "ledger" in self.modes:
+            self._checks["ledger"] += 1
+        if "index" in self.modes:
+            self._checks["index"] += 1
+        self._findings.extend(found)
 
     def _check_index(self, peer, at: int) -> list[Finding]:
         """SAN308: the peer's block-incremental index must equal an index
@@ -198,9 +189,8 @@ class Sanitizer:
                     f"scan answer ({len(scanned)} rows) for {description}",
                 )
             )
-        with self._mutex:
-            self._checks["index"] += 1
-            self._findings.extend(found)
+        self._checks["index"] += 1
+        self._findings.extend(found)
 
     # -- recovery (called by repro.storage.persistence) --------------------
 
@@ -208,8 +198,7 @@ class Sanitizer:
         """A peer was wiped and is about to re-commit from *resume_height*:
         reset the SAN304 height expectation so checkpoint-based replay is
         not flagged as a height regression."""
-        with self._mutex:
-            self._expected_heights[peer_name] = resume_height
+        self._expected_heights[peer_name] = resume_height
 
     def check_recovery(self, peer, channel) -> None:
         """SAN307: a recovered peer must be indistinguishable from an honest
@@ -250,11 +239,10 @@ class Sanitizer:
             # A recovered peer's rebuilt/restored index must also agree
             # with a from-scratch rebuild of its recovered world state.
             found.extend(self._check_index(peer, height))
-        with self._mutex:
-            self._checks["recovery"] += 1
-            if "index" in self.modes:
-                self._checks["index"] += 1
-            self._findings.extend(found)
+        self._checks["recovery"] += 1
+        if "index" in self.modes:
+            self._checks["index"] += 1
+        self._findings.extend(found)
 
     # -- end of run --------------------------------------------------------
 
@@ -262,8 +250,7 @@ class Sanitizer:
         cluster = getattr(getattr(self.channel, "orderer", None), "cluster", None)
         if cluster is None:
             return []
-        with self._mutex:
-            self._checks["consensus"] += 1
+        self._checks["consensus"] += 1
         if cluster.log_prefix_consistent():
             return []
         return [
@@ -276,32 +263,18 @@ class Sanitizer:
     def finalize(self) -> SanitizerReport:
         """Run the end-of-run checks and publish the report (idempotent)."""
         if not self._finalized:
-            extra: list[Finding] = []
             if "consensus" in self.modes:
-                extra.extend(self._check_consensus())
-            if self.lock_registry is not None:
-                with self._mutex:
-                    self._checks["locks"] += 1
-                extra.extend(self.lock_registry.findings())
-                if lockcheck.active_registry() is self.lock_registry:
-                    lockcheck.deactivate()
-            with self._mutex:
-                self._findings.extend(extra)
-                self._finalized = True
+                self._findings.extend(self._check_consensus())
+            self._finalized = True
         report = self.report()
         _publish(report)
         return report
 
     def report(self) -> SanitizerReport:
-        with self._mutex:
-            findings = list(self._findings)
-            checks = dict(self._checks)
-        if self.lock_registry is not None and not self._finalized:
-            findings.extend(self.lock_registry.findings())
         return SanitizerReport(
             modes=tuple(sorted(self.modes)),
-            checks=checks,
-            findings=findings,
+            checks=dict(self._checks),
+            findings=list(self._findings),
         )
 
 
@@ -346,7 +319,5 @@ def install_sanitizers(channel, spec: str = "") -> Sanitizer | None:
     channel.sanitizer = sanitizer
     for peer in channel.peers.values():
         peer.sanitizer = sanitizer
-    if sanitizer.lock_registry is not None:
-        lockcheck.activate(sanitizer.lock_registry)
     _ACTIVE = sanitizer
     return sanitizer

@@ -66,7 +66,7 @@ class FrameworkConfig:
     resilience_seed: int = 0
     # Runtime sanitizer modes (repro.analysis): "" disables, "all" enables
     # everything, or a comma list of
-    # divergence/ledger/locks/consensus/recovery. Combined with the
+    # divergence/ledger/consensus/recovery/index. Combined with the
     # REPRO_SANITIZE environment variable at build time.
     sanitize: str = ""
     # Durable node state (repro.storage): when enabled, every peer and the

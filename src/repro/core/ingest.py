@@ -3,8 +3,8 @@
 ``Client.submit`` is synchronous — one transaction, one block — which is
 right for interactive use and wrong for a camera uploading a day of
 footage. :class:`BatchIngestor` pipelines the store path: payloads go to
-IPFS in parallel (chunking + hashing + replication overlap on a thread
-pool), metadata transactions queue into the orderer's batch
+IPFS as one batch (one node, provider records announced afterwards),
+metadata transactions queue into the orderer's batch
 (``max_batch_size > 1``) where *one* BFT consensus instance per block
 decides them all, and one flush commits a whole block of entries.
 Provenance writes are batched the same way — each entry's trail recorded
@@ -70,8 +70,6 @@ class BatchIngestor:
 
     framework: Framework
     record_provenance: bool = True
-    # Thread-pool width for the off-chain store phase (None = default).
-    io_workers: int | None = None
     _identities: dict[str, Identity] = field(default_factory=dict)
 
     def register(self, identity: Identity) -> None:
@@ -134,21 +132,14 @@ class BatchIngestor:
 
             admitted, skipped = self._admit(items)
 
-            # Off-chain store: chunk + hash + replicate every payload in
-            # parallel — the per-item pipelines are independent, so the
-            # batch overlaps instead of serializing.
+            # Off-chain store: chunk + hash + replicate every payload.
             with obs_span("ingest.store") as sp:
                 payloads = [item.payload for item, _ in admitted]
                 payload_bytes = sum(len(p) for p in payloads)
                 sp.set_attr("bytes", payload_bytes)
-                add_results = framework.ipfs.add_many(
-                    payloads, max_workers=self.io_workers
-                )
+                add_results = framework.ipfs.add_many(payloads)
                 hashes = parallel_map(
-                    lambda p: hashlib.sha256(p).hexdigest(),
-                    payloads,
-                    max_workers=self.io_workers,
-                    queue="ingest.hash",
+                    lambda p: hashlib.sha256(p).hexdigest(), payloads
                 )
 
             # On-chain metadata: endorse + queue into the orderer's batch;

@@ -143,10 +143,8 @@ class IpfsCluster:
         payloads: list[bytes],
         node: str | None = None,
         announce: bool = True,
-        max_workers: int | None = None,
     ) -> list[AddResult]:
-        """Store many payloads, overlapping chunking+hashing on a thread
-        pool; results come back in input order.
+        """Store many payloads; results come back in input order.
 
         All payloads land on one node (the requested one, or the add
         failover target), exactly as N sequential :meth:`add` calls would;
@@ -164,21 +162,14 @@ class IpfsCluster:
                 sp.set_attr("failover_from", target.peer_id)
                 target = self.node(None)
             sp.set_attr("node", target.peer_id)
-            results = parallel_map(
-                target.add_bytes, payloads, max_workers=max_workers, queue="ipfs.add"
-            )
+            results = parallel_map(target.add_bytes, payloads)
             if announce:
                 for result in results:
                     self.dht.provide(target.peer_id, result.cid)
             return results
 
-    def cat_many(
-        self,
-        cids: list[CID],
-        node: str | None = None,
-        max_workers: int | None = None,
-    ) -> list[bytes]:
-        """Fetch many files concurrently; results come back in input order.
+    def cat_many(self, cids: list[CID], node: str | None = None) -> list[bytes]:
+        """Fetch many files; results come back in input order.
 
         Each fetch follows the full :meth:`cat` path (local fast path, DHT
         provider discovery, bitswap, stale-provider failover); the first
@@ -186,12 +177,7 @@ class IpfsCluster:
         """
         with obs_span("ipfs.cat_many") as sp:
             sp.set_attr("items", len(cids))
-            return parallel_map(
-                lambda cid: self.cat(cid, node=node),
-                cids,
-                max_workers=max_workers,
-                queue="ipfs.cat",
-            )
+            return parallel_map(lambda cid: self.cat(cid, node=node), cids)
 
     def providers_for(self, cid: CID, requester: str) -> list[str]:
         with obs_span("ipfs.dht.providers") as sp:

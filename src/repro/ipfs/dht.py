@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.analysis.lockcheck import make_lock
 from repro.crypto.cid import CID
 
 K_BUCKET_SIZE = 20
@@ -127,9 +126,6 @@ class DhtRegistry:
         self.nodes: dict[str, DhtNode] = {}
         self.replication = replication
         self.bucket_size = bucket_size
-        # Concurrent cat()/add() workers run lookups in parallel; the hop
-        # counter is the only cross-thread mutable state in the registry.
-        self._stats_lock = make_lock("dht.stats")
         self.lookup_hops = 0
 
     # -- membership ----------------------------------------------------------
@@ -180,8 +176,7 @@ class DhtRegistry:
             progressed = False
             for peer in candidates:
                 queried.add(peer)
-                with self._stats_lock:
-                    self.lookup_hops += 1
+                self.lookup_hops += 1
                 for learned in self.nodes[peer].rpc_closest_peers(key):
                     if learned != requester and learned not in shortlist:
                         shortlist.add(learned)
@@ -213,7 +208,6 @@ class DhtRegistry:
         key = key_for_cid(cid)
         found: set[str] = set(self._require(requester).rpc_get_providers(cid))
         for peer in self.iterative_find_peers(requester, key):
-            with self._stats_lock:
-                self.lookup_hops += 1
+            self.lookup_hops += 1
             found |= self.nodes[peer].rpc_get_providers(cid)
         return {p for p in found if p in self.nodes}

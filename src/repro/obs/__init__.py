@@ -22,8 +22,8 @@ Explorer, built in:
   ``other`` residuals when the profiler ran alongside the tracer.
 * **Profiler** (:mod:`repro.obs.prof`): deterministic cost-center profiler
   — :func:`profiled` frames over crypto/serialization/consensus/IPFS hot
-  paths with exact inclusive/exclusive time, bytes, lock wait/hold and
-  queue-wait telemetry, collapsed-stack + Chrome-trace export, and a
+  paths with exact inclusive/exclusive time, bytes, orderer queue-wait
+  telemetry, collapsed-stack + Chrome-trace export, and a
   seeded-run :meth:`Profiler.fingerprint`. Opt-in via
   :func:`enable_profiler` / scoped :func:`profiling`; disabled,
   :func:`profiled` returns a shared no-op probe (zero allocation).
@@ -86,7 +86,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.prof import (
     CenterStat,
-    LockStat,
     ProfileReport,
     Profiler,
     QueueStat,
@@ -223,7 +222,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "CenterStat",
-    "LockStat",
     "ProfileReport",
     "Profiler",
     "QueueStat",

@@ -26,10 +26,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 
-from repro.analysis.lockcheck import guard_shared, make_lock
 from repro.crypto.cid import CID
 from repro.errors import EncodingError, IntegrityError, QueryError
 from repro.fabric.channel import Channel
@@ -122,9 +120,6 @@ class QueryEngine:
     # Metadata-only results cached per query text, valid while the chain
     # height is unchanged (any new block may contain new matching records).
     cache_enabled: bool = True
-    # Worker threads fetching payloads concurrently share the stats object;
-    # the lock keeps its counters exact.
-    fetch_workers: int | None = None
     # Route plans through the peers' authenticated secondary index when one
     # is attached and in sync (fall back to chaincode scans otherwise).
     use_index: bool = True
@@ -132,16 +127,6 @@ class QueryEngine:
     # eviction (deterministic — dict preserves insertion order).
     cache_max_entries: int = 256
     _cache: dict[str, tuple[int, list["QueryRow"]]] = field(default_factory=dict)
-    # make_lock: a plain Lock normally; instrumented for lock-order and
-    # guarded-write checking when the repro.analysis sanitizers are active.
-    _stats_lock: threading.Lock = field(
-        default_factory=lambda: make_lock("query.stats"), repr=False
-    )
-
-    def __post_init__(self) -> None:
-        # Under the locks sanitizer, any _cache mutation outside
-        # _stats_lock surfaces as a SAN402 finding.
-        self._cache = guard_shared(self._cache, self._stats_lock, "query.cache")
 
     # -- planning -------------------------------------------------------------
 
@@ -169,8 +154,8 @@ class QueryEngine:
         re-executes instead of serving pre-commit rows as fresh. The cache
         holds at most ``cache_max_entries`` query texts (FIFO eviction).
 
-        With ``fetch_data=True`` the per-row IPFS payloads are fetched
-        concurrently on a thread pool (``fetch_workers`` caps the pool).
+        With ``fetch_data=True`` each row's IPFS payload is fetched and
+        verified in turn.
         """
         with obs_span("query.run") as sp:
             if isinstance(query, str):
@@ -183,13 +168,12 @@ class QueryEngine:
             cache_key = None
             if self.cache_enabled and not fetch_data and isinstance(query, str):
                 cache_key = query
-                with self._stats_lock:
-                    cached = self._cache.get(cache_key)
-                    if cached is not None and cached[0] == height_snapshot:
-                        self.stats.cache_hits += 1
-                        self.stats.queries += 1
-                        sp.set_attr("cache_hit", True)
-                        return list(cached[1])
+                cached = self._cache.get(cache_key)
+                if cached is not None and cached[0] == height_snapshot:
+                    self.stats.cache_hits += 1
+                    self.stats.queries += 1
+                    sp.set_attr("cache_hit", True)
+                    return list(cached[1])
             with obs_span("query.plan"):
                 if isinstance(query, str):
                     query = parse_query(query)
@@ -214,8 +198,6 @@ class QueryEngine:
                 fetched = parallel_map(
                     lambda record: self.fetch_payload_verified(record, verify=verify),
                     matched,
-                    max_workers=self.fetch_workers,
-                    queue="query.fetch",
                 )
                 rows = [
                     QueryRow(record=record, data=data, verified=verified)
@@ -223,17 +205,16 @@ class QueryEngine:
                 ]
             else:
                 rows = [QueryRow(record=record) for record in matched]
-            with self._stats_lock:
-                self.stats.queries += 1
-                self.stats.rows_scanned += len(candidates)
-                self.stats.rows_returned += len(rows)
-                if route is not None:
-                    if used_index:
-                        self.stats.index_hits += 1
-                    else:
-                        self.stats.index_misses += 1
-                if cache_key is not None:
-                    self._cache_store(cache_key, height_snapshot, rows)
+            self.stats.queries += 1
+            self.stats.rows_scanned += len(candidates)
+            self.stats.rows_returned += len(rows)
+            if route is not None:
+                if used_index:
+                    self.stats.index_hits += 1
+                else:
+                    self.stats.index_misses += 1
+            if cache_key is not None:
+                self._cache_store(cache_key, height_snapshot, rows)
             sp.set_attr("rows", len(rows))
             sp.set_attr("index_route", used_index)
             return rows
@@ -277,11 +258,10 @@ class QueryEngine:
         candidates = self._load_records(peer, entry_ids)
         matched = [r for r in candidates if plan.residual.matches(r)]
         matched = dataclasses.replace(query, select=None).apply_post(matched)
-        with self._stats_lock:
-            self.stats.queries += 1
-            self.stats.rows_scanned += len(candidates)
-            self.stats.rows_returned += len(matched)
-            self.stats.index_hits += 1
+        self.stats.queries += 1
+        self.stats.rows_scanned += len(candidates)
+        self.stats.rows_returned += len(matched)
+        self.stats.index_hits += 1
         return VerifiedAnswer(
             records=tuple(matched),
             proofs=proofs,
@@ -370,7 +350,7 @@ class QueryEngine:
         scanned = query.apply_post(scanned)
         sanitizer.check_query_parity(plan.explain(), matched, scanned)
 
-    # -- cache (callers hold _stats_lock) ----------------------------------------
+    # -- cache -------------------------------------------------------------------
 
     def _cache_store(self, key: str, height: int, rows: list[QueryRow]) -> None:
         if key not in self._cache:
@@ -429,8 +409,7 @@ class QueryEngine:
                 ) from exc
             data = self.cluster.cat(cid)
             sp.set_attr("bytes", len(data))
-            with self._stats_lock:
-                self.stats.bytes_fetched += len(data)
+            self.stats.bytes_fetched += len(data)
             if not verify:
                 return data, False
             with obs_span("query.verify") as vsp:
@@ -441,8 +420,7 @@ class QueryEngine:
                     # cross-check could not — surface that honestly.
                     vsp.set_attr("missing_data_hash", True)
                     return data, False
-                with self._stats_lock:
-                    self.stats.integrity_checks += 1
+                self.stats.integrity_checks += 1
                 with profiled("crypto.hash", n_bytes=len(data)):
                     actual = hashlib.sha256(data).hexdigest()
                 if actual != stored_hash:

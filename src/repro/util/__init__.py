@@ -3,7 +3,7 @@ clocks, and deterministic RNG derivation."""
 
 from repro.util.clock import Clock, MonotonicClock, SimClock, WallClock, isoformat
 from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
-from repro.util.parallel import DEFAULT_IO_WORKERS, effective_workers, parallel_map
+from repro.util.parallel import parallel_map
 from repro.util.rng import derive_seed, rng_for
 from repro.util.serialization import canonical_json, from_canonical_json
 from repro.util.varint import decode_varint, encode_varint
@@ -18,8 +18,6 @@ __all__ = [
     "b32encode",
     "b58decode",
     "b58encode",
-    "DEFAULT_IO_WORKERS",
-    "effective_workers",
     "parallel_map",
     "derive_seed",
     "rng_for",

@@ -1,107 +1,25 @@
-"""Thread-pooled fan-out for off-chain I/O.
+"""Per-item fan-out over a batch of independent payloads.
 
-The storage/retrieval hot paths move many independent payloads through
-chunking, hashing, replication, and fetch; :func:`parallel_map` overlaps
-those per-item pipelines on a thread pool instead of serializing them.
+:func:`parallel_map` is a plain serial loop: results come back in input
+order, and the first failing item's exception propagates with the items
+after it never run. The core is single-threaded (lint rule HYG205): this
+work is CPU-bound and in-process, so under the GIL threads cannot speed
+it up, and measured, a pool only slowed it down.
 
-Two properties matter for the rest of the system:
-
-* **Order and errors match the serial path.** Results come back in input
-  order, and the first failing item's exception propagates. Futures that
-  have not started yet are *cancelled* at that point — like the serial
-  path, items after the failure are not executed needlessly; tasks already
-  running on a worker thread finish (Python threads cannot be interrupted)
-  and are awaited so no work leaks past the call.
-* **Tracing context propagates.** Each task runs inside a copy of the
-  caller's :mod:`contextvars` context, so spans opened in worker threads
-  parent correctly under the caller's span instead of becoming orphan
-  roots — the per-stage breakdown keeps summing to the wall time.
-
-When the cost-center profiler is enabled, each pooled task additionally
-records its submit→start delay under the ``queue.wait`` center (detailed
-per ``queue`` name), so pool saturation shows up as a first-class profile
-row instead of vanishing into callers' wall time.
-
-Single-item and ``max_workers<=1`` calls run inline (no pool, no thread
-hop), which keeps the common interactive path allocation-free.
+It stays a named function rather than an inline comprehension because
+the layer tracer (``perfbench/tracing.py``) hooks
+``repro.util.parallel.parallel_map`` by name, to attribute time to each
+item and to report the ``parallel.*`` rows.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
-
-from repro.obs.prof import get_profiler, run_queued
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Bounded: these are I/O-shaped tasks in a simulation; a small pool gives
-# the overlap without drowning the scheduler on many-core hosts.
-DEFAULT_IO_WORKERS = min(8, (os.cpu_count() or 2))
 
-
-def effective_workers(n_items: int, max_workers: int | None = None) -> int:
-    """How many workers :func:`parallel_map` would actually use."""
-    if n_items <= 1:
-        return 1
-    limit = DEFAULT_IO_WORKERS if max_workers is None else max_workers
-    return max(1, min(limit, n_items))
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: int | None = None,
-    queue: str = "parallel",
-) -> list[R]:
-    """Apply ``fn`` to every item, overlapping calls on a thread pool.
-
-    Equivalent to ``[fn(x) for x in items]`` in results, ordering, and
-    error behaviour; ``max_workers=1`` (or a single item) forces the
-    serial path. ``queue`` names this pool in queue-wait telemetry when
-    the profiler is on.
-    """
-    items = list(items)
-    workers = effective_workers(len(items), max_workers)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    profiler = get_profiler()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if profiler is None:
-            futures = [
-                # A fresh context copy per task: concurrent tasks must not
-                # share one Context (contextvars forbids concurrent run()).
-                pool.submit(contextvars.copy_context().run, fn, item)
-                for item in items
-            ]
-        else:
-            clock = profiler.clock
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run, run_queued, queue, clock(), fn, item
-                )
-                for item in items
-            ]
-        results, first_error = [], None
-        for future in futures:
-            if first_error is not None:
-                # First failure seen: stop work that hasn't started. A
-                # cancelled future never runs; one already on a worker
-                # thread runs to completion and is awaited here so nothing
-                # leaks past the call.
-                if not future.cancel():
-                    try:
-                        future.result()
-                    except BaseException:  # noqa: BLE001  # reprolint: disable=HYG202
-                        pass  # first error wins; this one is deliberately dropped
-                continue
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                first_error = exc
-        if first_error is not None:
-            raise first_error
-        return results
+def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """``[fn(x) for x in items]``: input order, first error propagates."""
+    return [fn(item) for item in items]

@@ -121,14 +121,7 @@ class TestHygieneRules:
         assert "HYG201" in rule_ids(findings)
 
     def test_try_lock_not_flagged(self):
-        source = (
-            "import threading\n"
-            "lock = threading.Lock()\n"
-            "\n"
-            "\n"
-            "def f():\n"
-            "    return lock.acquire(blocking=False)\n"
-        )
+        source = "def f(lock):\n    return lock.acquire(blocking=False)\n"
         assert lint_source(source, "src/repro/util/x.py") == []
 
     def test_swallowed_exception_warned(self):
@@ -151,6 +144,47 @@ class TestHygieneRules:
 
     def test_local_dict_mutation_clean(self):
         source = "def f(k, v):\n    cache = {}\n    cache[k] = v\n    return cache\n"
+        assert lint_source(source, "src/repro/util/x.py") == []
+
+    def test_module_dict_mutation_under_lock_still_warned(self):
+        source = (
+            "CACHE = {}\n\n\ndef remember(lock, k, v):\n"
+            "    with lock:\n        CACHE[k] = v\n"
+        )
+        assert rule_ids(lint_source(source, "src/repro/util/x.py")) == ["HYG204"]
+
+
+class TestThreadImports:
+    @pytest.mark.parametrize("line", [
+        "import threading",
+        "import multiprocessing as mp",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from concurrent import futures",
+        "from _thread import start_new_thread",
+    ])
+    def test_thread_api_import_flagged_once(self, line):
+        findings = lint_source(line + "\n", "src/repro/util/x.py")
+        assert rule_ids(findings) == ["HYG205"]
+        assert findings[0].line == 1
+        assert findings[0].severity == "error"
+
+    @pytest.mark.parametrize("line", [
+        "import threading",
+        "import multiprocessing as mp",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from concurrent import futures",
+        "from _thread import start_new_thread",
+    ])
+    def test_pragma_suppresses(self, line):
+        source = line + "  # reprolint: disable=HYG205\n"
+        assert lint_source(source, "src/repro/util/x.py") == []
+
+    def test_similar_names_not_flagged(self):
+        source = (
+            "import contextvars\n"
+            "from repro.util.parallel import parallel_map\n"
+            "from .threading_notes import x\n"
+        )
         assert lint_source(source, "src/repro/util/x.py") == []
 
 

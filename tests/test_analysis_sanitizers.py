@@ -1,24 +1,18 @@
 """Tests for the runtime sanitizers: endorsement divergence, ledger
-invariants (incl. tamper pinpointing), lock-order checking, consensus."""
+invariants (incl. tamper pinpointing), consensus."""
 
 import dataclasses
-import threading
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import (
-    GuardedShared,
-    LockRegistry,
     Sanitizer,
-    TrackedLock,
     check_store,
     install_sanitizers,
     last_report,
-    make_lock,
     parse_modes,
 )
-from repro.analysis import lockcheck
 from repro.analysis import runtime as analysis_runtime
 from repro.analysis.runtime import MODES
 from repro.errors import AnalysisError
@@ -30,7 +24,6 @@ from tests.fabric_helpers import make_network
 @pytest.fixture(autouse=True)
 def _reset_sanitizer_globals():
     yield
-    lockcheck.deactivate()
     analysis_runtime._ACTIVE = None
     analysis_runtime._LAST_REPORT = None
 
@@ -59,11 +52,13 @@ class TestModeParsing:
             assert parse_modes(spec) == frozenset(MODES)
 
     def test_explicit_list(self):
-        assert parse_modes("ledger, locks") == frozenset({"ledger", "locks"})
+        assert parse_modes("ledger, index") == frozenset({"ledger", "index"})
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(AnalysisError):
-            parse_modes("ledger,turbo")
+        # "locks" (the removed lock-order sanitizer) is unknown too.
+        for spec in ("ledger,turbo", "locks"):
+            with pytest.raises(AnalysisError, match="unknown sanitizer mode"):
+                parse_modes(spec)
 
     def test_install_is_noop_without_modes(self):
         net, channel, client = make_network("solo")
@@ -137,72 +132,6 @@ class TestLedgerSanitizer:
         assert victim.tx_id[:16] in message
 
 
-class TestLockSanitizer:
-    def test_opposite_acquisition_order_reported(self):
-        registry = LockRegistry()
-        a, b = TrackedLock("A", registry), TrackedLock("B", registry)
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
-        san401 = [f for f in registry.findings() if f.rule_id == "SAN401"]
-        assert san401
-        assert "A" in san401[0].message and "B" in san401[0].message
-
-    def test_opposite_order_across_threads_reported(self):
-        registry = LockRegistry()
-        a, b = TrackedLock("A", registry), TrackedLock("B", registry)
-
-        def forward():
-            with a:
-                with b:
-                    pass
-
-        def backward():
-            with b:
-                with a:
-                    pass
-
-        for target in (forward, backward):
-            thread = threading.Thread(target=target)
-            thread.start()
-            thread.join()
-        assert any(f.rule_id == "SAN401" for f in registry.findings())
-
-    def test_consistent_order_clean(self):
-        registry = LockRegistry()
-        a, b = TrackedLock("A", registry), TrackedLock("B", registry)
-        for _ in range(3):
-            with a:
-                with b:
-                    pass
-        assert registry.findings() == []
-
-    def test_unguarded_shared_write_reported(self):
-        registry = LockRegistry()
-        guard = TrackedLock("stats", registry)
-        shared = GuardedShared({}, guard, "stats.map", registry)
-        with guard:
-            shared["guarded"] = 1  # fine: guard held
-        shared["rogue"] = 2
-        findings = registry.findings()
-        assert [f.rule_id for f in findings] == ["SAN402"]
-        assert "stats.map" in findings[0].message
-
-    def test_make_lock_is_plain_when_inactive(self):
-        assert not isinstance(make_lock("x"), TrackedLock)
-
-    def test_make_lock_is_tracked_when_active(self):
-        registry = LockRegistry()
-        lockcheck.activate(registry)
-        lock = make_lock("x")
-        assert isinstance(lock, TrackedLock)
-        with lock:
-            assert lock.held_by_current_thread()
-
-
 class TestConsensusSanitizer:
     def _sanitizer_over(self, consistent: bool) -> Sanitizer:
         sanitizer = Sanitizer(frozenset({"consensus"}))
@@ -227,71 +156,3 @@ class TestConsensusSanitizer:
         channel.invoke(client, "kv", "put", ["a", "1"])
         report = sanitizer.finalize()
         assert report.ok and report.checks["consensus"] == 0
-
-
-class TestLockWrapping:
-    """guard_shared and SAN401 must see through instrumentation wrappers in
-    either composition order (satellite: TimedLock/TrackedLock nesting)."""
-
-    @staticmethod
-    def _orders(registry):
-        tracked_inside = lockcheck.TimedLock(
-            "wrapped", lockcheck.TrackedLock("wrapped", registry))
-        tracked_outside = lockcheck.TrackedLock(
-            "wrapped", registry,
-            inner=lockcheck.TimedLock("wrapped", threading.Lock()))
-        return tracked_inside, tracked_outside
-
-    def test_unwrap_tracked_handles_both_orders(self):
-        registry = LockRegistry()
-        for lock in self._orders(registry):
-            tracked = lockcheck.unwrap_tracked(lock)
-            assert isinstance(tracked, lockcheck.TrackedLock)
-            assert tracked.name == "wrapped"
-
-    def test_unwrap_tracked_is_none_for_plain_locks(self):
-        assert lockcheck.unwrap_tracked(threading.Lock()) is None
-        assert lockcheck.unwrap_tracked(
-            lockcheck.TimedLock("t", threading.Lock())) is None
-
-    def test_lock_name_survives_wrapping(self):
-        registry = LockRegistry()
-        for lock in self._orders(registry):
-            assert lockcheck.lock_name(lock) == "wrapped"
-        assert lockcheck.lock_name(threading.Lock()) is None
-
-    def test_guard_shared_active_through_either_order(self):
-        for picker in (0, 1):
-            registry = LockRegistry()
-            lockcheck.activate(registry)
-            guard = self._orders(registry)[picker]
-            shared = lockcheck.guard_shared({}, guard, "shared.map")
-            assert isinstance(shared, GuardedShared)
-            with guard:
-                shared["ok"] = 1
-            shared["rogue"] = 2
-            findings = registry.findings()
-            assert [f.rule_id for f in findings] == ["SAN402"]
-            assert "shared.map" in findings[0].message
-            lockcheck.deactivate()
-
-    def test_guard_shared_noop_for_uninstrumented_guard(self):
-        registry = LockRegistry()
-        lockcheck.activate(registry)
-        raw = {}
-        assert lockcheck.guard_shared(raw, threading.Lock(), "x") is raw
-
-    def test_san401_reports_user_facing_names_through_wrappers(self):
-        registry = LockRegistry()
-        a = lockcheck.TimedLock("A", lockcheck.TrackedLock("A", registry))
-        b = lockcheck.TrackedLock(
-            "B", registry, inner=lockcheck.TimedLock("B", threading.Lock()))
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
-        san401 = [f for f in registry.findings() if f.rule_id == "SAN401"]
-        assert san401
-        assert "A" in san401[0].message and "B" in san401[0].message

@@ -266,7 +266,7 @@ class TestSanitizeRunCli:
         out = capsys.readouterr().out
         assert "data loss 0" in out
         assert "no findings" in out
-        for mode in ("consensus", "divergence", "ledger", "locks"):
+        for mode in ("consensus", "divergence", "index", "ledger", "recovery"):
             assert mode in out
 
     def test_json_output(self, capsys):
@@ -291,7 +291,7 @@ class TestSanitizeRunCli:
 class TestFlowcheckCli:
     @staticmethod
     def _fixture_tree(tmp_path):
-        """One true positive per FLOW rule family, plus one suppressed flow."""
+        """One true taint flow, plus one suppressed flow."""
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
@@ -307,21 +307,6 @@ class TestFlowcheckCli:
             "    return time.time()\n\n\n"
             "def seal(payload):\n"
             "    return canonical_json({'p': payload, 'at': stamp()})\n"
-        )
-        # FLOW6xx: lock-order inversion plus a blocking call under a lock.
-        (pkg / "locks.py").write_text(
-            "import threading\n"
-            "import time\n\n"
-            "A = threading.Lock()\n"
-            "B = threading.Lock()\n\n\n"
-            "def forward():\n"
-            "    with A:\n"
-            "        with B:\n"
-            "            time.sleep(1)\n\n\n"
-            "def backward():\n"
-            "    with B:\n"
-            "        with A:\n"
-            "            pass\n"
         )
         # Suppressed at the source line: must not count as a finding.
         (pkg / "quiet.py").write_text(
@@ -348,8 +333,6 @@ class TestFlowcheckCli:
                      "--baseline", str(tmp_path / "b.json")]) == 1
         out = capsys.readouterr().out
         assert out.count("FLOW501") == 1   # suppressed flow must not add one
-        assert out.count("FLOW601") == 1
-        assert out.count("FLOW603") == 1
         assert "quiet.py" not in out
 
     def test_json_output_carries_traces(self, capsys, tmp_path):
@@ -359,12 +342,11 @@ class TestFlowcheckCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         by_rule = {f["rule_id"]: f for f in payload["findings"]}
-        assert set(by_rule) == {"FLOW501", "FLOW601", "FLOW603"}
+        assert set(by_rule) == {"FLOW501"}
         taint = by_rule["FLOW501"]
         assert "time.time() [wall clock]" in taint["trace"][0]
         assert "canonical_json() [sink]" in taint["trace"][-1]
-        assert len(by_rule["FLOW601"]["trace"]) >= 2
-        assert payload["stats"]["modules"] == 5
+        assert payload["stats"]["modules"] == 4
 
     def test_baseline_workflow(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
@@ -373,7 +355,7 @@ class TestFlowcheckCli:
                      "--update-baseline"]) == 0
         capsys.readouterr()
         assert main(["flowcheck", str(pkg), "--baseline", str(baseline)]) == 0
-        assert "3 baselined" in capsys.readouterr().out
+        assert "1 baselined" in capsys.readouterr().out
         # A fresh inversion partner still fails the gate.
         (pkg / "fresh.py").write_text(
             "import os\n"
@@ -391,7 +373,7 @@ class TestFlowcheckCli:
               "--callgraph-out", str(graph_file)])
         graph = json.loads(graph_file.read_text())
         assert "pkg.seal.seal" in graph["functions"]
-        assert ["pkg.seal.seal", "pkg.seal.stamp", "call"] in graph["edges"]
+        assert ["pkg.seal.seal", "pkg.seal.stamp"] in graph["edges"]
 
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
         assert main(["flowcheck", str(tmp_path / "nope"),

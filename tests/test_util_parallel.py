@@ -1,11 +1,10 @@
-"""Tests for parallel_map: ordering, error propagation, cancellation."""
+"""Tests for parallel_map's serial contract: input order, first error wins."""
 
 import threading
-import time
 
 import pytest
 
-from repro.util.parallel import DEFAULT_IO_WORKERS, effective_workers, parallel_map
+from repro.util.parallel import parallel_map
 
 
 class TestBasics:
@@ -20,22 +19,6 @@ class TestBasics:
         parallel_map(lambda x: thread_names.append(threading.current_thread().name), [1])
         assert thread_names == [threading.current_thread().name]
 
-    def test_max_workers_one_runs_inline(self):
-        thread_names = set()
-        parallel_map(
-            lambda x: thread_names.add(threading.current_thread().name),
-            range(4),
-            max_workers=1,
-        )
-        assert thread_names == {threading.current_thread().name}
-
-    def test_effective_workers_bounds(self):
-        assert effective_workers(0) == 1
-        assert effective_workers(1) == 1
-        assert effective_workers(100) == DEFAULT_IO_WORKERS
-        assert effective_workers(100, max_workers=3) == 3
-        assert effective_workers(2, max_workers=8) == 2
-
 
 class TestErrors:
     def test_first_error_propagates(self):
@@ -45,59 +28,24 @@ class TestErrors:
             return x
 
         with pytest.raises(ValueError, match="item 3"):
-            parallel_map(boom, range(6), max_workers=2)
+            parallel_map(boom, range(6))
 
     def test_first_failing_item_wins_over_later_failures(self):
         def boom(x):
             raise ValueError(f"item {x}")
 
         with pytest.raises(ValueError, match="item 0"):
-            parallel_map(boom, range(4), max_workers=2)
+            parallel_map(boom, range(4))
 
-    def test_not_yet_started_items_are_cancelled_after_failure(self):
-        # One worker: items run strictly in submission order, so everything
-        # queued behind the failing item must be cancelled, not executed.
+    def test_items_after_failure_are_not_run(self):
         executed = []
-        gate = threading.Event()
 
         def task(x):
-            if x == 0:
-                gate.wait(timeout=5)
-                raise ValueError("first fails")
             executed.append(x)
+            if x == 2:
+                raise ValueError("third fails")
             return x
 
-        def run():
-            with pytest.raises(ValueError, match="first fails"):
-                parallel_map(task, range(20), max_workers=1)
-
-        runner = threading.Thread(target=run)
-        runner.start()
-        gate.set()
-        runner.join(timeout=10)
-        assert not runner.is_alive()
-        # With max_workers=1 nothing behind item 0 had started: the failure
-        # must keep it that way (the serial path would not run them either).
-        assert executed == []
-
-    def test_in_flight_items_are_awaited_not_leaked(self):
-        # Two workers: item 1 is already running when item 0 fails. It must
-        # finish (threads cannot be interrupted) and be awaited before
-        # parallel_map raises — no daemonized stragglers.
-        item1_started = threading.Event()
-        finished = []
-
-        def task(x):
-            if x == 0:
-                # Fail only once item 1 is provably on a worker thread, so
-                # its future can no longer be cancelled.
-                assert item1_started.wait(timeout=5)
-                raise ValueError("fail fast")
-            item1_started.set()
-            time.sleep(0.05)
-            finished.append(x)
-            return x
-
-        with pytest.raises(ValueError, match="fail fast"):
-            parallel_map(task, [0, 1], max_workers=2)
-        assert finished == [1]
+        with pytest.raises(ValueError, match="third fails"):
+            parallel_map(task, range(20))
+        assert executed == [0, 1, 2]
